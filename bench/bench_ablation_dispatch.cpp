@@ -76,14 +76,17 @@ int main(int Argc, char **Argv) {
   // current policy acquires there.
   const rt::Nanos FlagCheckNanos = 150;
   const fb::RunResult Orig =
-      runApp(App, 8, Flavour::Fixed, PolicyKind::Original);
+      runApp(App, 8, VersionSpec::fixed(PolicyKind::Original),
+             rt::FlatMachineModel());
   const uint64_t SitesExecuted = Orig.ParallelStats.AcquireReleasePairs;
   const double FlagPenaltySeconds = rt::nanosToSeconds(
       static_cast<rt::Nanos>(SitesExecuted) * 2 * FlagCheckNanos / 8);
 
-  const double Dyn = runAppSeconds(App, 8, Flavour::Dynamic);
+  const double Dyn = runAppSeconds(App, 8, VersionSpec::dynamicFeedback(),
+                                   rt::FlatMachineModel());
   const double Agg =
-      runAppSeconds(App, 8, Flavour::Fixed, PolicyKind::Aggressive);
+      runAppSeconds(App, 8, VersionSpec::fixed(PolicyKind::Aggressive),
+                    rt::FlatMachineModel());
 
   Table Run("Runtime: residual flag-check cost vs dispatch (8 procs)");
   Run.setHeader({"Strategy", "Time (s)"});

@@ -36,8 +36,8 @@ void runAblation(const App &App, const char *AppName, Table &T) {
     FC.UsePolicyOrdering = V.Ordering;
     fb::PolicyHistory History;
     const fb::RunResult R =
-        runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC,
-               V.Ordering ? &History : nullptr);
+        runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+               FC, V.Ordering ? &History : nullptr);
     unsigned Sampled = 0, Skipped = 0;
     for (const fb::SectionExecutionTrace &Trace : R.Occurrences) {
       Sampled += Trace.SampledIntervals;

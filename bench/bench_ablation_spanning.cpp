@@ -36,14 +36,16 @@ int main(int Argc, char **Argv) {
   T.setHeader({"Variant", "Time (s)", "Sampled intervals"});
 
   const double Bounded =
-      runAppSeconds(App, 8, Flavour::Fixed, PolicyKind::Bounded);
+      runAppSeconds(App, 8, VersionSpec::fixed(PolicyKind::Bounded),
+                    rt::FlatMachineModel());
   T.addRow({"best static (Bounded)", formatDouble(Bounded, 3), "-"});
 
   for (bool Span : {false, true}) {
     fb::FeedbackConfig FC;
     FC.SpanSectionExecutions = Span;
     const fb::RunResult R =
-        runApp(App, 8, Flavour::Dynamic, PolicyKind::Original, FC);
+        runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+               FC);
     unsigned Sampled = 0;
     for (const fb::SectionExecutionTrace &Trace : R.Occurrences)
       Sampled += Trace.SampledIntervals;

@@ -27,7 +27,8 @@ int main(int Argc, char **Argv) {
   FC.TargetSamplingNanos = rt::millisToNanos(5.0);
   FC.TargetProductionNanos = rt::secondsToNanos(1.0);
   const fb::RunResult R =
-      runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC);
+      runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+             FC);
 
   const SeriesSet OverheadSet = R.mergedOverheadSeries("FORCES");
   std::printf("Figure 5: Sampled Overhead for the Barnes-Hut FORCES "

@@ -35,7 +35,8 @@ int main(int Argc, char **Argv) {
     std::vector<std::string> Row{policyName(P)};
     Series &S = Set.getOrCreate(policyName(P));
     for (unsigned N : PaperProcCounts) {
-      const fb::RunResult R = runApp(App, N, Flavour::Fixed, P);
+      const fb::RunResult R = runApp(App, N, VersionSpec::fixed(P),
+                                     rt::FlatMachineModel());
       const double W = R.ParallelStats.waitingProportion();
       Row.push_back(formatDouble(W, 3));
       S.addPoint(static_cast<double>(N), W);

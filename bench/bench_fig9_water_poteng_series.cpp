@@ -27,7 +27,8 @@ int main(int Argc, char **Argv) {
   FC.TargetSamplingNanos = rt::millisToNanos(5.0);
   FC.TargetProductionNanos = rt::secondsToNanos(0.5);
   const fb::RunResult R =
-      runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC);
+      runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+             FC);
 
   const SeriesSet OverheadSet = R.mergedOverheadSeries("POTENG");
   std::printf("Figure 9: Sampled Overhead for the Water POTENG Section on "

@@ -34,10 +34,11 @@ int main(int Argc, char **Argv) {
     for (PolicyKind P : AllPolicies) {
       // Flavour::Fixed is uninstrumented; build the instrumented variant
       // through a backend with instrumentation enabled.
-      const double Off = runAppSeconds(*TheApp, 8, Flavour::Fixed, P);
+      const double Off = runAppSeconds(*TheApp, 8, VersionSpec::fixed(P),
+                                       rt::FlatMachineModel());
 
       auto Backend = std::make_unique<sim::SimBackend>(
-          8, rt::CostModel::dashLike(), /*Instrumented=*/true);
+          8, rt::FlatMachineModel(), /*Instrumented=*/true);
       for (const VersionedSection &VS : TheApp->program().Sections)
         Backend->addSection(
             VS.Name, &TheApp->binding(VS.Name),

@@ -87,7 +87,7 @@ static void BM_SimulateForcesInterval(benchmark::State &State) {
   auto &App = smallApp();
   const auto *VS = App.program().find("FORCES");
   for (auto _ : State) {
-    sim::SimMachine Machine(8, rt::CostModel::dashLike());
+    sim::SimMachine Machine(8, rt::FlatMachineModel());
     sim::SimSectionRunner Runner(
         Machine, App.binding("FORCES"),
         {sim::SimVersion{"Original",

@@ -37,7 +37,7 @@ int main(int Argc, char **Argv) {
       for (const SectionVersion &V : VS.Versions) {
         // One minimal sampling interval (tiny target: the effective
         // interval is the minimum the application permits).
-        sim::SimBackend Backend(8, rt::CostModel::dashLike(), true);
+        sim::SimBackend Backend(8, rt::FlatMachineModel(), true);
         Backend.addSection(VS.Name, &TheApp->binding(VS.Name),
                            {sim::SimVersion{V.label(), V.Entry}});
         auto Runner = Backend.beginSectionSim(VS.Name);

@@ -39,14 +39,16 @@ int main(int Argc, char **Argv) {
   T.setHeader({"Version", "Executed Acquire/Release Pairs",
                "Absolute Locking Overhead (seconds)"});
   for (PolicyKind P : AllPolicies) {
-    const fb::RunResult R = runApp(App, 8, Flavour::Fixed, P);
+    const fb::RunResult R = runApp(App, 8, VersionSpec::fixed(P),
+                                   rt::FlatMachineModel());
     T.addRow({policyName(P),
               withThousandsSep(R.ParallelStats.AcquireReleasePairs),
               formatDouble(rt::nanosToSeconds(R.ParallelStats.LockOpNanos),
                            3)});
   }
   {
-    const fb::RunResult R = runApp(App, 8, Flavour::Dynamic);
+    const fb::RunResult R = runApp(App, 8, VersionSpec::dynamicFeedback(),
+                                   rt::FlatMachineModel());
     T.addRow({"Dynamic",
               withThousandsSep(R.ParallelStats.AcquireReleasePairs),
               formatDouble(rt::nanosToSeconds(R.ParallelStats.LockOpNanos),

@@ -27,7 +27,8 @@ int main(int Argc, char **Argv) {
   FC.TargetSamplingNanos = rt::millisToNanos(0.1);
   FC.TargetProductionNanos = rt::secondsToNanos(1.0);
   const fb::RunResult R =
-      runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC);
+      runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+             FC);
 
   for (const char *Section : {"INTERF", "POTENG"}) {
     std::map<std::string, RunningStat> PerVersion;

@@ -40,8 +40,8 @@ int main(int Argc, char **Argv) {
         fb::FeedbackConfig FC;
         FC.TargetSamplingNanos = rt::secondsToNanos(S);
         FC.TargetProductionNanos = rt::secondsToNanos(P);
-        const fb::RunResult R = runApp(App, 8, Flavour::Dynamic,
-                                       xform::PolicyKind::Original, FC);
+        const fb::RunResult R = runApp(App, 8, VersionSpec::dynamicFeedback(),
+                                       rt::FlatMachineModel(), FC);
         RunningStat Stat;
         for (const fb::SectionExecutionTrace &Trace : R.Occurrences)
           if (Trace.SectionName == Section)

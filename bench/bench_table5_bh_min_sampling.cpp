@@ -28,7 +28,8 @@ int main(int Argc, char **Argv) {
   FC.TargetSamplingNanos = rt::millisToNanos(0.1);
   FC.TargetProductionNanos = rt::secondsToNanos(2.0);
   const fb::RunResult R =
-      runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC);
+      runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+             FC);
 
   std::map<std::string, RunningStat> PerVersion;
   for (const fb::SectionExecutionTrace &T : R.Occurrences)

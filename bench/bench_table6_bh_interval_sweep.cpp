@@ -37,7 +37,8 @@ int main(int Argc, char **Argv) {
       FC.TargetSamplingNanos = rt::secondsToNanos(S);
       FC.TargetProductionNanos = rt::secondsToNanos(P);
       const fb::RunResult R =
-          runApp(App, 8, Flavour::Dynamic, xform::PolicyKind::Original, FC);
+          runApp(App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+                 FC);
       // Mean FORCES section execution time over its occurrences.
       RunningStat Stat;
       for (const fb::SectionExecutionTrace &Trace : R.Occurrences)

@@ -59,9 +59,11 @@ int main(int Argc, char **Argv) {
               Procs);
   for (xform::PolicyKind P : xform::AllPolicies)
     std::printf("  static %-10s : %8.2f s\n", xform::policyName(P),
-                runAppSeconds(App, Procs, Flavour::Fixed, P));
+                runAppSeconds(App, Procs, VersionSpec::fixed(P),
+                              rt::FlatMachineModel()));
 
-  const fb::RunResult Dyn = runApp(App, Procs, Flavour::Dynamic);
+  const fb::RunResult Dyn = runApp(App, Procs, VersionSpec::dynamicFeedback(),
+                                   rt::FlatMachineModel());
   std::printf("  dynamic feedback  : %8.2f s\n",
               rt::nanosToSeconds(Dyn.TotalNanos));
   for (const fb::SectionExecutionTrace &T : Dyn.Occurrences)

@@ -46,8 +46,10 @@ int main(int Argc, char **Argv) {
                 Procs == 1 ? "" : "s");
     for (xform::PolicyKind P : xform::AllPolicies)
       std::printf("  static %-10s : %8.2f s\n", xform::policyName(P),
-                  runAppSeconds(App, Procs, Flavour::Fixed, P));
-    const fb::RunResult Dyn = runApp(App, Procs, Flavour::Dynamic);
+                  runAppSeconds(App, Procs, VersionSpec::fixed(P),
+                                rt::FlatMachineModel()));
+    const fb::RunResult Dyn = runApp(App, Procs, VersionSpec::dynamicFeedback(),
+                                     rt::FlatMachineModel());
     std::printf("  dynamic feedback  : %8.2f s\n",
                 rt::nanosToSeconds(Dyn.TotalNanos));
 

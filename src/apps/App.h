@@ -21,7 +21,6 @@
 #include "ir/Module.h"
 #include "rt/Backend.h"
 #include "rt/Binding.h"
-#include "rt/CostModel.h"
 #include "rt/MachineModel.h"
 #include "rt/NativeBackend.h"
 #include "rt/SectionRegistry.h"
@@ -108,25 +107,6 @@ public:
   std::unique_ptr<rt::NativeBackend>
   makeNativeBackend(unsigned Procs, const VersionSpec &Spec) const {
     return makeNativeBackend(Procs, Spec, rt::NativeBackend::Options());
-  }
-
-  /// Flat-machine compatibility path: wraps \p Costs in the constant-cost
-  /// model.
-  std::unique_ptr<sim::SimBackend>
-  makeSimBackend(unsigned Procs, const rt::CostModel &Costs,
-                 const VersionSpec &Spec) const {
-    return makeSimBackend(Procs, rt::FlatMachineModel(Costs), Spec);
-  }
-
-  /// Compatibility shim over the VersionSpec path.
-  std::unique_ptr<sim::SimBackend>
-  makeSimBackend(unsigned Procs, const rt::CostModel &Costs, Flavour F,
-                 xform::PolicyKind FixedPolicy =
-                     xform::PolicyKind::Original) const {
-    return makeSimBackend(Procs, Costs,
-                          F == Flavour::Fixed
-                              ? VersionSpec::fixed(FixedPolicy)
-                              : VersionSpec{F, {}});
   }
 
   /// Serial-version statistics of one section (Tables 4, 9, 10).

@@ -43,23 +43,6 @@ fb::RunResult apps::runApp(const App &App, unsigned Procs,
   return Result;
 }
 
-fb::RunResult apps::runApp(const App &App, unsigned Procs,
-                           const VersionSpec &Spec,
-                           const fb::FeedbackConfig &Config,
-                           fb::PolicyHistory *History,
-                           const rt::CostModel &Costs,
-                           const perturb::PerturbationEngine *Perturb,
-                           RunObservation *Obs) {
-  return runApp(App, Procs, Spec, rt::FlatMachineModel(Costs), Config, History,
-                Perturb, Obs);
-}
-
-double apps::runAppSeconds(const App &App, unsigned Procs,
-                           const VersionSpec &Spec,
-                           const fb::FeedbackConfig &Config) {
-  return rt::nanosToSeconds(runApp(App, Procs, Spec, Config).TotalNanos);
-}
-
 double apps::runAppSeconds(const App &App, unsigned Procs,
                            const VersionSpec &Spec,
                            const rt::MachineModel &Model,

@@ -8,8 +8,8 @@
 /// Helpers shared by the bench binaries: run one executable of an
 /// application on the simulated machine and return the result, and the
 /// processor counts the paper's tables use. The executable is described by
-/// a VersionSpec (flavour plus, for Fixed, the pinned version-space point);
-/// the Flavour+PolicyKind overloads forward into that single path.
+/// a VersionSpec (flavour plus, for Fixed, the pinned version-space point)
+/// and priced by an rt::MachineModel.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,7 @@
 #include "apps/App.h"
 #include "fb/Driver.h"
 #include "obs/Export.h"
-#include "sim/Trace.h"
+#include "rt/SectionTrace.h"
 
 #include <map>
 #include <vector>
@@ -45,7 +45,7 @@ struct RunObservation {
   /// IntervalTrace per section into SectionTraces (lock contention and
   /// per-processor time decomposition over the whole run).
   bool CollectSectionTraces = false;
-  std::map<std::string, sim::IntervalTrace> SectionTraces;
+  std::map<std::string, rt::IntervalTrace> SectionTraces;
 };
 
 /// Which execution substrate runApp builds, plus its native-only knobs.
@@ -81,15 +81,6 @@ fb::RunResult runApp(const App &App, unsigned Procs, const VersionSpec &Spec,
                      RunObservation *Obs = nullptr,
                      const BackendOptions &Backend = {});
 
-/// Flat-machine path: wraps \p Costs in the constant-cost model (the seed
-/// behaviour, bit for bit).
-fb::RunResult runApp(const App &App, unsigned Procs, const VersionSpec &Spec,
-                     const fb::FeedbackConfig &Config = {},
-                     fb::PolicyHistory *History = nullptr,
-                     const rt::CostModel &Costs = rt::CostModel::dashLike(),
-                     const perturb::PerturbationEngine *Perturb = nullptr,
-                     RunObservation *Obs = nullptr);
-
 /// Assembles the exportable obs::RunTrace of one finished run: \p Result's
 /// per-occurrence section records, plus -- when \p Obs is non-null -- the
 /// decision log and the per-section lock contention records (sections in
@@ -100,39 +91,10 @@ obs::RunTrace buildRunTrace(const std::string &AppName, unsigned Procs,
                             const RunObservation *Obs = nullptr,
                             rt::BackendKind Backend = rt::BackendKind::Sim);
 
-/// Convenience: end-to-end execution time in seconds.
-double runAppSeconds(const App &App, unsigned Procs, const VersionSpec &Spec,
-                     const fb::FeedbackConfig &Config = {});
-
 /// Convenience: end-to-end execution time in seconds on \p Model.
 double runAppSeconds(const App &App, unsigned Procs, const VersionSpec &Spec,
                      const rt::MachineModel &Model,
                      const fb::FeedbackConfig &Config = {});
-
-/// Compatibility shims over the VersionSpec path.
-inline fb::RunResult
-runApp(const App &App, unsigned Procs, Flavour F,
-       xform::PolicyKind Policy = xform::PolicyKind::Original,
-       const fb::FeedbackConfig &Config = {},
-       fb::PolicyHistory *History = nullptr,
-       const rt::CostModel &Costs = rt::CostModel::dashLike(),
-       const perturb::PerturbationEngine *Perturb = nullptr,
-       RunObservation *Obs = nullptr) {
-  return runApp(App, Procs,
-                F == Flavour::Fixed ? VersionSpec::fixed(Policy)
-                                    : VersionSpec{F, {}},
-                Config, History, Costs, Perturb, Obs);
-}
-
-inline double runAppSeconds(const App &App, unsigned Procs, Flavour F,
-                            xform::PolicyKind Policy =
-                                xform::PolicyKind::Original,
-                            const fb::FeedbackConfig &Config = {}) {
-  return runAppSeconds(App, Procs,
-                       F == Flavour::Fixed ? VersionSpec::fixed(Policy)
-                                           : VersionSpec{F, {}},
-                       Config);
-}
 
 } // namespace dynfb::apps
 

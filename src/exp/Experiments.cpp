@@ -25,11 +25,9 @@
 #include "perturb/Traffic.h"
 #include "replay/Explorer.h"
 #include "rt/MachineModel.h"
-#include "sim/Throughput.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 
@@ -195,6 +193,9 @@ std::vector<JobConfig> makeTimingGridJobs(const std::string &App,
   }
   return Jobs;
 }
+
+/// Every app makeGridApp builds, i.e. the simulator's full workload mix.
+const char *const GridApps[] = {"barnes_hut", "water", "string", "kvserve"};
 
 std::unique_ptr<App> makeGridApp(const JobConfig &Config) {
   const double Scale = Config.getDouble("scale", 1.0);
@@ -1564,129 +1565,6 @@ Experiment makeBackendConcordance() {
 }
 
 //===----------------------------------------------------------------------===//
-// Simulator throughput (performance trajectory)
-//===----------------------------------------------------------------------===//
-
-/// Every app makeGridApp builds, i.e. the simulator's full workload mix.
-const char *const ThroughputApps[] = {"barnes_hut", "water", "string",
-                                      "kvserve"};
-const unsigned ThroughputProcCounts[] = {2, 8};
-
-/// How fast the simulator itself runs, as opposed to how fast the simulated
-/// programs are: each job executes one dynamic-feedback run and reports the
-/// hot loop's work (simulated micro-ops, iterations, intervals) divided by
-/// host wall-clock time. The work counts are deterministic; the rates are
-/// host-dependent and exist to track the simulator's speed PR over PR (the
-/// checked-in BENCH_sim_throughput.json trajectory), so nothing gates hard
-/// on them. Wall clock is measured inside RunJob and therefore frozen into
-/// cached results -- measure with --no-cache.
-Experiment makeSimThroughput() {
-  Experiment E;
-  E.Name = "sim_throughput";
-  E.Suite = "perf";
-  E.Description =
-      "simulator hot-loop speed: simulated micro-ops and intervals per "
-      "wall-clock second";
-  E.DefaultScale = 0.125;
-  E.MetricNames = {"micro_ops",     "iterations",       "intervals",
-                   "wall_seconds",  "mops_per_sec",     "intervals_per_sec"};
-  E.MakeJobs = [](const RunOptions &Opts) {
-    std::vector<JobConfig> Jobs;
-    for (const char *App : ThroughputApps)
-      for (unsigned N : ThroughputProcCounts) {
-        if (Opts.Procs && Opts.Procs != N)
-          continue;
-        JobConfig C = baseConfig(App, Opts);
-        C.set("flavour", "dynamic");
-        C.setInt("procs", N);
-        Jobs.push_back(std::move(C));
-      }
-    return Jobs;
-  };
-  E.RunJob = [](const JobConfig &Config) {
-    const std::unique_ptr<App> TheApp = makeGridApp(Config);
-    if (!TheApp)
-      return jobError("unknown app '" + Config.getString("app") + "'");
-    const unsigned Procs = static_cast<unsigned>(Config.getInt("procs", 2));
-    std::string Error;
-    const std::unique_ptr<rt::MachineModel> Model =
-        machineFromConfig(Config, Error);
-    if (!Model)
-      return jobError(Error);
-
-    // Deltas, not absolute counter reads: dynfb-bench may fork workers but
-    // BenchMain runs jobs sequentially in one process, and only the delta
-    // is this job's work either way. App construction stays outside the
-    // timed region -- this measures the simulator, not the workload
-    // generators.
-    const sim::ThroughputCounters Before = sim::throughputCounters();
-    const auto Start = std::chrono::steady_clock::now();
-    runApp(*TheApp, Procs, VersionSpec::dynamicFeedback(), *Model);
-    const double Wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      Start)
-            .count();
-    const sim::ThroughputCounters &After = sim::throughputCounters();
-
-    const double MicroOps =
-        static_cast<double>(After.MicroOps - Before.MicroOps);
-    const double Iterations =
-        static_cast<double>(After.Iterations - Before.Iterations);
-    const double Intervals =
-        static_cast<double>(After.Intervals - Before.Intervals);
-    JobResult R;
-    R.add("micro_ops", MicroOps);
-    R.add("iterations", Iterations);
-    R.add("intervals", Intervals);
-    R.add("wall_seconds", Wall);
-    R.add("mops_per_sec", Wall > 0 ? MicroOps / Wall / 1e6 : 0.0);
-    R.add("intervals_per_sec", Wall > 0 ? Intervals / Wall : 0.0);
-    return R;
-  };
-  E.Render = [](const RunOptions &Opts,
-                const std::vector<JobResult> &Results) {
-    std::printf("== Simulator throughput: dynamic feedback across %zu apps "
-                "==\n",
-                std::size(ThroughputApps));
-    std::printf("rates are host wall clock (trajectory data, no hard "
-                "gate); cached results replay the recorded wall clock, so "
-                "measure with --no-cache\n\n");
-
-    Table T("hot-loop throughput");
-    T.setHeader({"App", "Procs", "Micro-ops", "Mops/s", "Intervals/s"});
-    bool ShapeOk = !Results.empty();
-    double TotalOps = 0, TotalIntervals = 0, TotalWall = 0;
-    size_t I = 0;
-    for (const char *App : ThroughputApps)
-      for (unsigned N : ThroughputProcCounts) {
-        if (Opts.Procs && Opts.Procs != N)
-          continue;
-        const JobResult &R = Results[I++];
-        const double Ops = R.metric("micro_ops");
-        const double Wall = R.metric("wall_seconds");
-        TotalOps += Ops;
-        TotalIntervals += R.metric("intervals");
-        TotalWall += Wall;
-        ShapeOk = ShapeOk && Ops > 0 && Wall > 0;
-        T.addRow({App, format("%u", N), format("%.0f", Ops),
-                  formatDouble(R.metric("mops_per_sec"), 2),
-                  formatDouble(R.metric("intervals_per_sec"), 1)});
-      }
-    if (TotalWall > 0)
-      T.addRow({"TOTAL", "", format("%.0f", TotalOps),
-                formatDouble(TotalOps / TotalWall / 1e6, 2),
-                formatDouble(TotalIntervals / TotalWall, 1)});
-    printTable(T);
-
-    std::printf("shape ok (every job simulated micro-ops in measurable "
-                "wall clock): %s\n",
-                ShapeOk ? "yes" : "NO");
-    return ShapeOk ? 0 : 1;
-  };
-  return E;
-}
-
-//===----------------------------------------------------------------------===//
 // Replay what-if exactness
 //===----------------------------------------------------------------------===//
 
@@ -1713,7 +1591,7 @@ Experiment makeReplayWhatif() {
                    "clairvoyant_seconds", "regret_ratio"};
   E.MakeJobs = [](const RunOptions &Opts) {
     std::vector<JobConfig> Jobs;
-    for (const char *App : ThroughputApps) {
+    for (const char *App : GridApps) {
       const unsigned N = 8;
       if (Opts.Procs && Opts.Procs != N)
         continue;
@@ -1791,7 +1669,7 @@ Experiment makeReplayWhatif() {
                  "Regret"});
     bool AllExact = !Results.empty();
     size_t I = 0;
-    for (const char *App : ThroughputApps) {
+    for (const char *App : GridApps) {
       if (Opts.Procs && Opts.Procs != 8)
         continue;
       const JobResult &R = Results[I++];
@@ -1829,6 +1707,5 @@ void exp::registerBuiltinExperiments() {
   registry().add(makeMachineSensitivity());
   registry().add(makeServing());
   registry().add(makeBackendConcordance());
-  registry().add(makeSimThroughput());
   registry().add(makeReplayWhatif());
 }

@@ -16,19 +16,20 @@ using namespace dynfb::xform;
 TimingGrid exp::runTimingGrid(const App &App,
                               const std::vector<unsigned> &Procs,
                               const fb::FeedbackConfig &Config) {
+  const rt::FlatMachineModel Flat;
   TimingGrid Grid;
   Grid.SerialSeconds =
-      runAppSeconds(App, 1, Flavour::Serial, PolicyKind::Original, Config);
+      runAppSeconds(App, 1, VersionSpec::serial(), Flat, Config);
 
   for (PolicyKind P : AllPolicies) {
     std::map<unsigned, double> Row;
     for (unsigned N : Procs)
-      Row[N] = runAppSeconds(App, N, Flavour::Fixed, P, Config);
+      Row[N] = runAppSeconds(App, N, VersionSpec::fixed(P), Flat, Config);
     Grid.Rows.emplace_back(policyName(P), std::move(Row));
   }
   std::map<unsigned, double> Dyn;
   for (unsigned N : Procs)
-    Dyn[N] = runAppSeconds(App, N, Flavour::Dynamic, PolicyKind::Original,
+    Dyn[N] = runAppSeconds(App, N, VersionSpec::dynamicFeedback(), Flat,
                            Config);
   Grid.Rows.emplace_back("Dynamic", std::move(Dyn));
   return Grid;

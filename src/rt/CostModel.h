@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Cost parameters of the simulated shared-memory multiprocessor. The
+/// Cost parameters of the simulated shared-memory multiprocessor: the flat
+/// parameter block of an rt::MachineModel, which does the pricing. The
 /// defaults model the paper's platform, a 16-processor Stanford DASH: spin
 /// locks with a hardware attempt construct, a ~9 microsecond timer read
 /// (paper Section 4.1), and lock operation costs calibrated so the paper's

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The pluggable machine layer above the flat CostModel: a MachineModel
-/// prices each primitive event (acquire/release/failed-attempt/timer/
-/// barrier/sched-fetch/update) as a function of machine state -- which
-/// processor runs it, which node last held the lock's cache line, how many
-/// waiters are queued behind the lock. The paper's central claim is that
-/// the best synchronization policy depends on the machine; this layer makes
-/// "machine" a first-class experimental variable.
+/// The pluggable machine layer, the only thing that prices a run (CostModel
+/// is its flat parameter block): a MachineModel prices each primitive event
+/// (acquire/release/failed-attempt/timer/barrier/sched-fetch/update) as a
+/// function of machine state -- which processor runs it, which node last
+/// held the lock's cache line, how many waiters are queued behind the lock.
+/// The paper's central claim is that the best synchronization policy
+/// depends on the machine; this layer makes "machine" a first-class
+/// experimental variable.
 ///
 /// Three models ship (see createMachineModel):
 ///
@@ -136,8 +137,7 @@ protected:
 };
 
 /// The constant-cost machine every paper table was produced on ("dash-flat"
-/// with the default cost block). Also the wrapper the CostModel-based
-/// compatibility entry points use for arbitrary flat cost blocks.
+/// with the default cost block), or any other flat cost block.
 class FlatMachineModel final : public MachineModel {
 public:
   explicit FlatMachineModel(CostModel Costs = CostModel::dashLike())

@@ -36,7 +36,7 @@ NativeBackend::beginSection(const std::string &Name) {
   for (const IrVersion &V : Desc->Versions)
     Versions.push_back(NativeIrVersion{V.Label, V.Entry, V.Sched});
   std::unique_ptr<RealSectionRunner> Runner = makeNativeIrRunner(
-      Team, *Desc->Binding, std::move(Versions), Opts.Costs, Opts.TimeScale);
+      Team, *Desc->Binding, std::move(Versions), Opts.TimeScale);
   Runner->setClockOffset(Epoch);
   if (CollectSectionTraces) {
     IntervalTrace &Trace = SectionTraces[Name];

@@ -17,9 +17,10 @@
 ///  - Time is the host steady clock, rebased to a per-backend epoch taken
 ///    at construction, so now() starts near zero like a simulated run.
 ///  - MachineModel pricing does not apply: the hardware sets the cost of a
-///    lock op or a cache miss. The cost model passed in the options is used
-///    only to materialize workload compute durations (which are then scaled
-///    by TimeScale); machine selection is a simulator concept.
+///    lock op or a cache miss. Workload compute durations are materialized
+///    from the paper's DASH-like cost block (then scaled by TimeScale), so
+///    native workloads match the ones the simulator executes; machine
+///    selection is a simulator concept.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,7 +28,6 @@
 #define DYNFB_RT_NATIVEBACKEND_H
 
 #include "rt/Backend.h"
-#include "rt/CostModel.h"
 #include "rt/RealRunner.h"
 #include "rt/SectionRegistry.h"
 #include "rt/ThreadTeam.h"
@@ -47,10 +47,6 @@ public:
     /// Virtual-to-real conversion for workload compute durations (0.0005
     /// runs 1 ms of virtual compute as a 0.5 us busy-wait).
     double TimeScale = 0.0005;
-    /// Cost model used only to emit workload compute durations; defaults to
-    /// the paper's DASH-like model so native workloads match the ones the
-    /// simulator executes.
-    CostModel Costs = CostModel::dashLike();
   };
 
   NativeBackend(unsigned NumProcs, SectionRegistry Sections, Options Opts);

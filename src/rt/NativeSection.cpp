@@ -35,7 +35,7 @@ struct NativeIrState {
 std::unique_ptr<RealSectionRunner>
 rt::makeNativeIrRunner(ThreadTeam &Team, const DataBinding &Binding,
                        std::vector<NativeIrVersion> Versions,
-                       const CostModel &Costs, double TimeScale) {
+                       double TimeScale) {
   assert(!Versions.empty() && "section needs at least one version");
   auto State = std::make_shared<NativeIrState>();
   State->LockCount = Binding.objectCount();
@@ -43,7 +43,7 @@ rt::makeNativeIrRunner(ThreadTeam &Team, const DataBinding &Binding,
   State->TimeScale = TimeScale;
   State->Emitters.reserve(Versions.size());
   for (const NativeIrVersion &V : Versions)
-    State->Emitters.emplace_back(V.Entry, Binding, Costs);
+    State->Emitters.emplace_back(V.Entry, Binding, CostModel::dashLike());
 
   std::vector<NativeVersion> Native;
   Native.reserve(Versions.size());

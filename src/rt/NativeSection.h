@@ -20,7 +20,6 @@
 
 #include "ir/Module.h"
 #include "rt/Binding.h"
-#include "rt/CostModel.h"
 #include "rt/Interp.h"
 #include "rt/RealRunner.h"
 #include "rt/SpinLock.h"
@@ -39,14 +38,14 @@ struct NativeIrVersion {
 };
 
 /// Builds a RealSectionRunner whose iteration bodies interpret the given IR
-/// versions. \p TimeScale converts virtual nanoseconds of compute cost into
-/// real busy-wait nanoseconds (e.g. 0.001 runs a 1 ms virtual kernel as a
-/// 1 us spin) so workloads stay testable. The returned runner owns the
-/// lock table and emitters; \p Binding and the IR must outlive it.
+/// versions, with compute priced from the DASH-like cost block.
+/// \p TimeScale converts virtual nanoseconds of compute cost into real
+/// busy-wait nanoseconds (e.g. 0.001 runs a 1 ms virtual kernel as a 1 us
+/// spin) so workloads stay testable. The returned runner owns the lock
+/// table and emitters; \p Binding and the IR must outlive it.
 std::unique_ptr<RealSectionRunner>
 makeNativeIrRunner(ThreadTeam &Team, const DataBinding &Binding,
-                   std::vector<NativeIrVersion> Versions,
-                   const CostModel &Costs, double TimeScale);
+                   std::vector<NativeIrVersion> Versions, double TimeScale);
 
 /// Busy-waits for approximately \p Dur of real time (exposed for tests and
 /// calibration).

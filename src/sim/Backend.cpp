@@ -46,7 +46,7 @@ SimBackend::beginSectionSim(const std::string &Name) {
   Runner->attachOpsCaches(&It->second.OpsCaches);
   Runner->setPerturbation(Machine.perturbation(), Name);
   if (CollectSectionTraces) {
-    IntervalTrace &Trace = SectionTraces[Name];
+    rt::IntervalTrace &Trace = SectionTraces[Name];
     Trace.Cumulative = true;
     Runner->attachTrace(&Trace);
   }

@@ -17,9 +17,9 @@
 #include "rt/Backend.h"
 #include "rt/Binding.h"
 #include "rt/SectionRegistry.h"
+#include "rt/SectionTrace.h"
 #include "sim/Machine.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <map>
 #include <string>
@@ -31,14 +31,11 @@ namespace dynfb::sim {
 /// the static (single-policy) executables do not.
 class SimBackend : public rt::ExecutionBackend {
 public:
-  SimBackend(unsigned NumProcs, rt::CostModel Costs, bool Instrumented)
-      : Machine(NumProcs, Costs), Instrumented(Instrumented) {}
-
   /// Backend over a machine model (cloned; \p Model need not outlive the
   /// backend).
   SimBackend(unsigned NumProcs, const rt::MachineModel &Model,
              bool Instrumented)
-      : Machine(NumProcs, Model.clone()), Instrumented(Instrumented) {}
+      : Machine(NumProcs, Model), Instrumented(Instrumented) {}
 
   /// Registers a section. \p Binding must outlive the backend.
   void addSection(const std::string &Name, const rt::DataBinding *Binding,
@@ -76,7 +73,8 @@ public:
 
   /// The accumulated per-section traces (empty unless collection was
   /// enabled before the run).
-  const std::map<std::string, IntervalTrace> &sectionTraces() const override {
+  const std::map<std::string, rt::IntervalTrace> &
+  sectionTraces() const override {
     return SectionTraces;
   }
 
@@ -102,7 +100,7 @@ private:
   bool CollectSectionTraces = false;
   /// std::map: entry addresses are stable, so live runners can hold a
   /// pointer into it across later insertions.
-  std::map<std::string, IntervalTrace> SectionTraces;
+  std::map<std::string, rt::IntervalTrace> SectionTraces;
 };
 
 } // namespace dynfb::sim

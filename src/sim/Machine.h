@@ -26,7 +26,6 @@
 #ifndef DYNFB_SIM_MACHINE_H
 #define DYNFB_SIM_MACHINE_H
 
-#include "rt/CostModel.h"
 #include "rt/MachineModel.h"
 #include "rt/Time.h"
 #include "support/Compiler.h"
@@ -47,22 +46,15 @@ namespace dynfb::sim {
 /// Virtual machine state shared by all simulated sections of one run.
 class SimMachine {
 public:
-  /// Flat-machine compatibility constructor: wraps \p Costs in the
-  /// constant-cost model, preserving the seed behaviour bit for bit.
-  SimMachine(unsigned NumProcs, rt::CostModel Costs)
-      : SimMachine(NumProcs,
-                   std::make_unique<rt::FlatMachineModel>(Costs)) {}
-
-  SimMachine(unsigned NumProcs,
-             std::unique_ptr<const rt::MachineModel> Model)
-      : NumProcs(NumProcs), Model(std::move(Model)) {
+  /// A machine of \p NumProcs processors priced by \p Model (cloned;
+  /// \p Model need not outlive the machine).
+  SimMachine(unsigned NumProcs, const rt::MachineModel &Model)
+      : NumProcs(NumProcs), Model(Model.clone()) {
     assert(NumProcs >= 1 && "machine needs at least one processor");
-    assert(this->Model && "machine needs a model");
   }
 
   unsigned numProcs() const { return NumProcs; }
   const rt::MachineModel &model() const { return *Model; }
-  const rt::CostModel &costs() const { return Model->costs(); }
 
   /// The lock home-node tracker of \p Section: entry i is the node that
   /// last held lock object i's cache line, -1 while the line is cold.

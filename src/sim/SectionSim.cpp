@@ -153,7 +153,7 @@ SimSectionRunner::SimSectionRunner(SimMachine &Machine,
   assert(!this->Versions.empty() && "section needs at least one version");
   Emitters.reserve(this->Versions.size());
   for (const SimVersion &V : this->Versions)
-    Emitters.emplace_back(V.Entry, Binding, Machine.costs());
+    Emitters.emplace_back(V.Entry, Binding, Machine.model().costs());
 }
 
 SimSectionRunner::~SimSectionRunner() = default;
@@ -185,7 +185,7 @@ template <bool Topo>
 IntervalReport SimSectionRunner::runIntervalImpl(unsigned V, Nanos Target) {
   assert(V < Versions.size() && "version index out of range");
   assert(Machine.model().topologyAware() == Topo && "wrong instantiation");
-  const CostModel &CM = Machine.costs();
+  const CostModel &CM = Machine.model().costs();
   const Nanos Start = Machine.now();
   const Nanos Deadline = Start + Target;
   const Nanos InstrCost = Instrumented ? CM.InstrumentNanos : 0;

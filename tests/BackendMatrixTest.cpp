@@ -61,7 +61,7 @@ TEST(BackendMatrixTest, SerialSpecRegistersSingleVersion) {
 TEST(BackendMatrixTest, BothBackendsBuildFromOneRegistry) {
   const water::WaterApp App = smallWater();
   const std::unique_ptr<rt::ExecutionBackend> Sim = App.makeSimBackend(
-      2, rt::CostModel::dashLike(),
+      2, rt::FlatMachineModel(),
       VersionSpec::fixed(xform::PolicyKind::Original));
   const std::unique_ptr<rt::ExecutionBackend> Native = App.makeNativeBackend(
       2, VersionSpec::fixed(xform::PolicyKind::Original));
@@ -78,7 +78,7 @@ TEST(BackendMatrixTest, BothBackendsBuildFromOneRegistry) {
 TEST(BackendMatrixTest, FixedPolicyPairsAgreeAcrossBackends) {
   const water::WaterApp App = smallWater();
   const VersionSpec Spec = VersionSpec::fixed(xform::PolicyKind::Original);
-  const fb::RunResult Sim = runApp(App, 2, Spec);
+  const fb::RunResult Sim = runApp(App, 2, Spec, rt::FlatMachineModel());
   const fb::RunResult Native =
       runApp(App, 2, Spec, *rt::createMachineModel("dash-flat"), {}, nullptr,
              nullptr, nullptr, BackendOptions::native(0.001));
@@ -130,7 +130,8 @@ TEST(BackendMatrixTest, RunTraceStampsBackendAndRoundTrips) {
 TEST(BackendMatrixTest, TraceBackendDefaultsToSim) {
   const water::WaterApp App = smallWater();
   const fb::RunResult R =
-      runApp(App, 2, VersionSpec::fixed(xform::PolicyKind::Original));
+      runApp(App, 2, VersionSpec::fixed(xform::PolicyKind::Original),
+             rt::FlatMachineModel());
   const obs::RunTrace Trace = buildRunTrace("water", 2, "original", R);
   EXPECT_EQ(Trace.Meta.Backend, "sim");
 

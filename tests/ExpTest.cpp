@@ -352,38 +352,6 @@ TEST(Registry, EveryJobCarriesItsMachine) {
   }
 }
 
-TEST(Registry, SimThroughputCoversAppsAndProcCounts) {
-  registerBuiltinExperiments();
-  const Experiment *E = registry().find("sim_throughput");
-  ASSERT_NE(E, nullptr);
-  EXPECT_EQ(E->Suite, "perf");
-  for (const char *Metric :
-       {"micro_ops", "wall_seconds", "mops_per_sec", "intervals_per_sec"})
-    EXPECT_TRUE(std::find(E->MetricNames.begin(), E->MetricNames.end(),
-                          Metric) != E->MetricNames.end())
-        << Metric;
-
-  RunOptions Opts;
-  const std::vector<JobConfig> Jobs = E->MakeJobs(Opts);
-  // 4 apps x {2, 8} simulated processors, all dynamic feedback.
-  ASSERT_EQ(Jobs.size(), 8u);
-  std::set<std::string> Apps;
-  std::set<int64_t> Procs;
-  for (const JobConfig &C : Jobs) {
-    Apps.insert(C.getString("app"));
-    Procs.insert(C.getInt("procs"));
-    EXPECT_EQ(C.getString("flavour"), "dynamic");
-  }
-  EXPECT_EQ(Apps.size(), 4u);
-  EXPECT_TRUE(Apps.count("barnes_hut"));
-  EXPECT_TRUE(Apps.count("kvserve"));
-  EXPECT_EQ(Procs, (std::set<int64_t>{2, 8}));
-
-  // The --procs filter narrows the grid.
-  Opts.Procs = 2;
-  EXPECT_EQ(E->MakeJobs(Opts).size(), 4u);
-}
-
 TEST(Registry, MachineSensitivitySweepsEveryModel) {
   registerBuiltinExperiments();
   const Experiment *E = registry().find("machine_sensitivity");

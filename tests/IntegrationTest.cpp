@@ -24,8 +24,6 @@ using namespace dynfb::xform;
 
 namespace {
 
-const rt::CostModel CM = rt::CostModel::dashLike();
-
 FeedbackConfig testConfig() {
   FeedbackConfig C;
   C.TargetSamplingNanos = rt::millisToNanos(10);
@@ -33,20 +31,19 @@ FeedbackConfig testConfig() {
   return C;
 }
 
-/// Runs one executable flavour and returns the full result.
-RunResult runFlavour(const App &App, unsigned Procs, Flavour F,
-                     PolicyKind Policy = PolicyKind::Original,
-                     FeedbackConfig Config = testConfig()) {
-  auto Backend = App.makeSimBackend(Procs, CM, F, Policy);
+/// Runs one executable on the flat machine and returns the full result.
+RunResult runSpec(const App &App, unsigned Procs, const VersionSpec &Spec,
+                  FeedbackConfig Config = testConfig()) {
+  auto Backend = App.makeSimBackend(Procs, rt::FlatMachineModel(), Spec);
   RunOptions Options;
-  Options.Mode = F == Flavour::Dynamic ? ExecMode::Dynamic : ExecMode::Fixed;
+  Options.Mode =
+      Spec.F == Flavour::Dynamic ? ExecMode::Dynamic : ExecMode::Fixed;
   Options.Config = Config;
   return runSchedule(*Backend, App.schedule(), Options);
 }
 
-double runSeconds(const App &App, unsigned Procs, Flavour F,
-                  PolicyKind Policy = PolicyKind::Original) {
-  return rt::nanosToSeconds(runFlavour(App, Procs, F, Policy).TotalNanos);
+double runSeconds(const App &App, unsigned Procs, const VersionSpec &Spec) {
+  return rt::nanosToSeconds(runSpec(App, Procs, Spec).TotalNanos);
 }
 
 // ---------------------------- Barnes-Hut -----------------------------------
@@ -67,11 +64,11 @@ TEST_F(BarnesHutIntegration, PolicyOrderingMatchesPaper) {
   // Paper Table 2: Aggressive < Bounded < Original at every processor count.
   for (unsigned Procs : {1u, 8u}) {
     const double Orig =
-        runSeconds(app(), Procs, Flavour::Fixed, PolicyKind::Original);
+        runSeconds(app(), Procs, VersionSpec::fixed(PolicyKind::Original));
     const double Bnd =
-        runSeconds(app(), Procs, Flavour::Fixed, PolicyKind::Bounded);
+        runSeconds(app(), Procs, VersionSpec::fixed(PolicyKind::Bounded));
     const double Agg =
-        runSeconds(app(), Procs, Flavour::Fixed, PolicyKind::Aggressive);
+        runSeconds(app(), Procs, VersionSpec::fixed(PolicyKind::Aggressive));
     EXPECT_LT(Agg, Bnd) << "procs=" << Procs;
     EXPECT_LT(Bnd, Orig) << "procs=" << Procs;
   }
@@ -79,19 +76,19 @@ TEST_F(BarnesHutIntegration, PolicyOrderingMatchesPaper) {
 
 TEST_F(BarnesHutIntegration, DynamicTracksAggressive) {
   const double Agg =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
-  const double Dyn = runSeconds(app(), 8, Flavour::Dynamic);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
+  const double Dyn = runSeconds(app(), 8, VersionSpec::dynamicFeedback());
   EXPECT_LT(Dyn, 1.15 * Agg)
       << "dynamic feedback should be within a few percent of the best "
          "policy";
   // And strictly better than the statically wrong choice.
   const double Orig =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Original);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Original));
   EXPECT_LT(Dyn, Orig);
 }
 
 TEST_F(BarnesHutIntegration, DynamicChoosesAggressiveForProduction) {
-  const RunResult R = runFlavour(app(), 8, Flavour::Dynamic);
+  const RunResult R = runSpec(app(), 8, VersionSpec::dynamicFeedback());
   const VersionedSection *VS = app().program().find("FORCES");
   const unsigned AggIdx = VS->indexFor(PolicyKind::Aggressive);
   for (const SectionExecutionTrace &T : R.Occurrences) {
@@ -104,15 +101,15 @@ TEST_F(BarnesHutIntegration, NoFalseExclusion) {
   // Paper: "the synchronization optimizations introduced no significant
   // false exclusion" -- per-body locks never contend.
   const RunResult R =
-      runFlavour(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
+      runSpec(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_EQ(R.ParallelStats.FailedAcquires, 0u);
   EXPECT_EQ(R.ParallelStats.WaitNanos, 0);
 }
 
 TEST_F(BarnesHutIntegration, AllVersionsScaleSimilarly) {
   for (PolicyKind P : AllPolicies) {
-    const double T1 = runSeconds(app(), 1, Flavour::Fixed, P);
-    const double T8 = runSeconds(app(), 8, Flavour::Fixed, P);
+    const double T1 = runSeconds(app(), 1, VersionSpec::fixed(P));
+    const double T8 = runSeconds(app(), 8, VersionSpec::fixed(P));
     const double Speedup = T1 / T8;
     EXPECT_GT(Speedup, 4.0) << policyName(P);
     EXPECT_LT(Speedup, 8.1) << policyName(P);
@@ -120,7 +117,7 @@ TEST_F(BarnesHutIntegration, AllVersionsScaleSimilarly) {
 }
 
 TEST_F(BarnesHutIntegration, SerialFlavourHasNoLockOps) {
-  const RunResult R = runFlavour(app(), 1, Flavour::Serial);
+  const RunResult R = runSpec(app(), 1, VersionSpec::serial());
   EXPECT_EQ(R.ParallelStats.AcquireReleasePairs, 0u);
   EXPECT_EQ(R.ParallelStats.LockOpNanos, 0);
 }
@@ -129,7 +126,7 @@ TEST_F(BarnesHutIntegration, LockingOverheadOrdering) {
   // Paper Table 3 structure: pairs(Original) ~ 2x pairs(Bounded), and
   // Aggressive executes orders of magnitude fewer pairs.
   const auto Pairs = [&](PolicyKind P) {
-    return runFlavour(app(), 8, Flavour::Fixed, P)
+    return runSpec(app(), 8, VersionSpec::fixed(P))
         .ParallelStats.AcquireReleasePairs;
   };
   const uint64_t Orig = Pairs(PolicyKind::Original);
@@ -156,9 +153,9 @@ TEST_F(WaterIntegration, AggressiveBestAtOneProcessor) {
   // Paper Table 7: "For one processor, the Aggressive version performs the
   // best."
   const double Orig =
-      runSeconds(app(), 1, Flavour::Fixed, PolicyKind::Original);
+      runSeconds(app(), 1, VersionSpec::fixed(PolicyKind::Original));
   const double Agg =
-      runSeconds(app(), 1, Flavour::Fixed, PolicyKind::Aggressive);
+      runSeconds(app(), 1, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_LT(Agg, Orig);
 }
 
@@ -166,42 +163,42 @@ TEST_F(WaterIntegration, AggressiveFailsToScale) {
   // Paper: "As the number of processors increases, the Aggressive version
   // fails to scale" -- POTENG's false exclusion serializes it.
   const double Bnd =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Bounded);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Bounded));
   const double Agg =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_GT(Agg, 1.5 * Bnd);
 
   const double Agg1 =
-      runSeconds(app(), 1, Flavour::Fixed, PolicyKind::Aggressive);
+      runSeconds(app(), 1, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_LT(Agg1 / Agg, 3.0) << "Aggressive speedup should saturate";
 }
 
 TEST_F(WaterIntegration, BoundedBestAtEightProcessors) {
   const double Orig =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Original);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Original));
   const double Bnd =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Bounded);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Bounded));
   const double Agg =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_LT(Bnd, Orig);
   EXPECT_LT(Bnd, Agg);
 }
 
 TEST_F(WaterIntegration, DynamicTracksBest) {
   const double Orig =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Original);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Original));
   const double Bnd =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Bounded);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Bounded));
   const double Agg =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
-  const double Dyn = runSeconds(app(), 8, Flavour::Dynamic);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
+  const double Dyn = runSeconds(app(), 8, VersionSpec::dynamicFeedback());
   EXPECT_LT(Dyn, 1.1 * Bnd);
   EXPECT_LT(Dyn, Orig);
   EXPECT_LT(Dyn, Agg);
 }
 
 TEST_F(WaterIntegration, DynamicPicksPerSectionBestAtEightProcessors) {
-  const RunResult R = runFlavour(app(), 8, Flavour::Dynamic);
+  const RunResult R = runSpec(app(), 8, VersionSpec::dynamicFeedback());
   const VersionedSection *Interf = app().program().find("INTERF");
   const VersionedSection *Poteng = app().program().find("POTENG");
   const unsigned InterfBest = Interf->indexFor(PolicyKind::Bounded);
@@ -220,7 +217,7 @@ TEST_F(WaterIntegration, DynamicPicksAggressiveAtOneProcessor) {
   // Paper: "At one processor, the Dynamic version executes approximately
   // the same number of acquire and release constructs as the Aggressive
   // version."
-  const RunResult R = runFlavour(app(), 1, Flavour::Dynamic);
+  const RunResult R = runSpec(app(), 1, VersionSpec::dynamicFeedback());
   const VersionedSection *Poteng = app().program().find("POTENG");
   const unsigned AggIdx = Poteng->indexFor(PolicyKind::Aggressive);
   for (const SectionExecutionTrace &T : R.Occurrences) {
@@ -234,7 +231,7 @@ TEST_F(WaterIntegration, WaitingProportionExposesFalseExclusion) {
   // Paper Figure 7: waiting overhead is the primary performance loss of the
   // Aggressive version and grows with the processor count.
   const auto Waiting = [&](PolicyKind P, unsigned Procs) {
-    return runFlavour(app(), Procs, Flavour::Fixed, P)
+    return runSpec(app(), Procs, VersionSpec::fixed(P))
         .ParallelStats.waitingProportion();
   };
   EXPECT_LT(Waiting(PolicyKind::Bounded, 8), 0.1);
@@ -249,8 +246,7 @@ TEST_F(WaterIntegration, EffectiveSamplingIntervalLargeWhenSerialized) {
   // computation.
   FeedbackConfig Config = testConfig();
   Config.TargetSamplingNanos = rt::millisToNanos(0.1);
-  const RunResult R = runFlavour(app(), 8, Flavour::Dynamic,
-                                 PolicyKind::Original, Config);
+  const RunResult R = runSpec(app(), 8, VersionSpec::dynamicFeedback(), Config);
   for (const SectionExecutionTrace &T : R.Occurrences) {
     if (T.SectionName != "POTENG")
       continue;
@@ -278,20 +274,20 @@ protected:
 
 TEST_F(StringIntegration, AggressiveBestAndDynamicTracks) {
   const double Orig =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Original);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Original));
   const double Bnd =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Bounded);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Bounded));
   const double Agg =
-      runSeconds(app(), 8, Flavour::Fixed, PolicyKind::Aggressive);
+      runSeconds(app(), 8, VersionSpec::fixed(PolicyKind::Aggressive));
   EXPECT_LT(Agg, Bnd);
   EXPECT_LT(Bnd, Orig);
-  const double Dyn = runSeconds(app(), 8, Flavour::Dynamic);
+  const double Dyn = runSeconds(app(), 8, VersionSpec::dynamicFeedback());
   EXPECT_LT(Dyn, 1.15 * Agg);
 }
 
 TEST_F(StringIntegration, SharedModelContentionGrowsWithProcessors) {
   const auto Waiting = [&](unsigned Procs) {
-    return runFlavour(app(), Procs, Flavour::Fixed, PolicyKind::Original)
+    return runSpec(app(), Procs, VersionSpec::fixed(PolicyKind::Original))
         .ParallelStats.waitingProportion();
   };
   EXPECT_EQ(Waiting(1), 0.0);
@@ -308,8 +304,7 @@ TEST(IntegrationMisc, SampledOverheadsAreStableOverTime) {
   FeedbackConfig FC = testConfig();
   FC.TargetSamplingNanos = rt::millisToNanos(5);
   FC.TargetProductionNanos = rt::secondsToNanos(2);
-  const RunResult R = runFlavour(App, 8, Flavour::Dynamic,
-                                 PolicyKind::Original, FC);
+  const RunResult R = runSpec(App, 8, VersionSpec::dynamicFeedback(), FC);
   const SeriesSet Merged = R.mergedOverheadSeries("FORCES");
   for (const Series &S : Merged.all()) {
     if (S.size() < 3)
@@ -332,10 +327,8 @@ TEST(IntegrationMisc, EarlyCutoffReducesSampledIntervals) {
   Cutoff.EarlyCutoff = true;
   Cutoff.EarlyCutoffThreshold = 0.05;
 
-  const RunResult A = runFlavour(App, 8, Flavour::Dynamic,
-                                 PolicyKind::Original, Plain);
-  const RunResult B = runFlavour(App, 8, Flavour::Dynamic,
-                                 PolicyKind::Original, Cutoff);
+  const RunResult A = runSpec(App, 8, VersionSpec::dynamicFeedback(), Plain);
+  const RunResult B = runSpec(App, 8, VersionSpec::dynamicFeedback(), Cutoff);
   unsigned SampledPlain = 0, SampledCutoff = 0, Skipped = 0;
   for (const auto &T : A.Occurrences)
     SampledPlain += T.SampledIntervals;
@@ -352,7 +345,7 @@ TEST(IntegrationMisc, DeterministicEndToEnd) {
   Config.NumMolecules = 32;
   auto Run = [&] {
     water::WaterApp App(Config);
-    return runFlavour(App, 4, Flavour::Dynamic).TotalNanos;
+    return runSpec(App, 4, VersionSpec::dynamicFeedback()).TotalNanos;
   };
   EXPECT_EQ(Run(), Run());
 }

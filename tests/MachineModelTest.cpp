@@ -195,17 +195,6 @@ Nanos runToyInterval(SimMachine &Machine, const ToyWorkload &W,
   return R.EffectiveNanos;
 }
 
-TEST(MachineModelTest, FlatModelPathMatchesCostModelPath) {
-  // The MachineModel-owning constructor with a flat model must reproduce
-  // the CostModel compatibility path bit for bit (the seed behaviour).
-  ToyWorkload W;
-  ToyBinding B;
-  CostModel CM;
-  SimMachine Compat(2, CM);
-  SimMachine Modeled(2, std::make_unique<FlatMachineModel>(CM));
-  EXPECT_EQ(runToyInterval(Compat, W, B), runToyInterval(Modeled, W, B));
-}
-
 TEST(MachineModelTest, CostLinearityOnZeroComputeSection) {
   // Property: with no compute, the interval duration on a flat machine is
   // linear in the cost block -- doubling every cost field exactly doubles
@@ -224,8 +213,8 @@ TEST(MachineModelTest, CostLinearityOnZeroComputeSection) {
   Doubled.SchedFetchNanos *= 2;
   Doubled.UpdateNanos *= 2;
   Doubled.InstrumentNanos *= 2;
-  SimMachine M1(1, std::make_unique<FlatMachineModel>(CM));
-  SimMachine M2(1, std::make_unique<FlatMachineModel>(Doubled));
+  SimMachine M1(1, FlatMachineModel(CM));
+  SimMachine M2(1, FlatMachineModel(Doubled));
   EXPECT_EQ(2 * runToyInterval(M1, W, B), runToyInterval(M2, W, B));
 }
 
@@ -240,10 +229,10 @@ TEST(MachineModelTest, NumaHomeTrackingPersistsAcrossOccurrences) {
   const Nanos ColdVsLocal =
       Numa.costs().AcquireNanos - Numa.LocalAcquireNanos;
 
-  SimMachine Flat(1, std::make_unique<FlatMachineModel>(Numa.costs()));
+  SimMachine Flat(1, FlatMachineModel(Numa.costs()));
   const Nanos FlatNanos = runToyInterval(Flat, W, B);
 
-  SimMachine Machine(1, std::make_unique<DashNumaModel>());
+  SimMachine Machine(1, DashNumaModel());
   // First occurrence: 1 cold + 3 local acquires.
   EXPECT_EQ(runToyInterval(Machine, W, B),
             FlatNanos - 3 * ColdVsLocal);
@@ -254,7 +243,7 @@ TEST(MachineModelTest, NumaHomeTrackingPersistsAcrossOccurrences) {
 
 TEST(MachineModelTest, LockHomesGrowsAndPreservesEntries) {
   CostModel CM;
-  SimMachine Machine(4, CM);
+  SimMachine Machine(4, FlatMachineModel(CM));
   std::vector<int> &Homes = Machine.lockHomes("s", 4);
   ASSERT_EQ(Homes.size(), 4u);
   EXPECT_EQ(Homes[0], -1);

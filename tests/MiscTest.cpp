@@ -42,7 +42,8 @@ TEST(FactoryTest, UnknownAppIsNull) {
 
 TEST(HarnessTest, SerialFlavourRunsLockFree) {
   auto App = createApp("water", 1.0 / 32.0);
-  const fb::RunResult R = runApp(*App, 1, Flavour::Serial);
+  const fb::RunResult R = runApp(*App, 1, VersionSpec::serial(),
+                                 rt::FlatMachineModel());
   EXPECT_GT(R.TotalNanos, 0);
   EXPECT_EQ(R.ParallelStats.AcquireReleasePairs, 0u);
 }
@@ -52,7 +53,8 @@ TEST(HarnessTest, PolicyHistoryIsThreadedThrough) {
   fb::FeedbackConfig Config;
   Config.UsePolicyOrdering = true;
   fb::PolicyHistory History;
-  runApp(*App, 8, Flavour::Dynamic, PolicyKind::Original, Config, &History);
+  runApp(*App, 8, VersionSpec::dynamicFeedback(), rt::FlatMachineModel(),
+         Config, &History);
   EXPECT_TRUE(History.lastBest("INTERF").has_value());
   EXPECT_TRUE(History.lastBest("POTENG").has_value());
 }

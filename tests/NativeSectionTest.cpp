@@ -38,8 +38,7 @@ TEST(NativeSectionTest, RunsGeneratedWaterPotengNatively) {
   ThreadTeam Team(2);
   // Scale virtual microseconds down 1000x so the test runs in millis.
   auto Runner = makeNativeIrRunner(Team, App.binding("POTENG"),
-                                   std::move(Versions),
-                                   CostModel::dashLike(), 0.001);
+                                   std::move(Versions), 0.001);
   ASSERT_EQ(Runner->numVersions(), 2u);
 
   const IntervalReport R =
@@ -61,8 +60,7 @@ TEST(NativeSectionTest, FeedbackControllerDrivesNativeIrSection) {
 
   ThreadTeam Team(2);
   auto Runner = makeNativeIrRunner(Team, App.binding("POTENG"),
-                                   std::move(Versions),
-                                   CostModel::dashLike(), 0.001);
+                                   std::move(Versions), 0.001);
 
   fb::FeedbackConfig FC;
   FC.TargetSamplingNanos = millisToNanos(2);

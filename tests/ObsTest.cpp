@@ -713,8 +713,8 @@ TEST(ObsHarnessTest, WaterRunTraceRoundTripsAndMatchesDecisions) {
   apps::RunObservation Obs;
   Obs.CollectSectionTraces = true;
   const fb::RunResult Result =
-      apps::runApp(*App, 4, apps::VersionSpec::dynamicFeedback(), Config,
-                   nullptr, rt::CostModel::dashLike(), nullptr, &Obs);
+      apps::runApp(*App, 4, apps::VersionSpec::dynamicFeedback(),
+                   rt::FlatMachineModel(), Config, nullptr, nullptr, &Obs);
 
   // The run made decisions and they landed in the log with valid reasons.
   EXPECT_GT(Obs.Log.count(obs::DecisionKind::Sample), 0u);

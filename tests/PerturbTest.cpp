@@ -390,7 +390,7 @@ ToyRun runToy(const PerturbationEngine *Engine, unsigned Procs = 1,
   // One private object per iteration: organic contention can never occur,
   // so any waiting that shows up was injected.
   B.Objects = static_cast<uint32_t>(Iterations < 8 ? 8 : Iterations);
-  SimMachine Machine(Procs, CostModel{});
+  SimMachine Machine(Procs, FlatMachineModel());
   Machine.setPerturbation(Engine);
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   Runner.setPerturbation(Machine.perturbation(), Section);
@@ -516,12 +516,12 @@ TEST(PerturbSimTest, SeededTimerNoiseIsReproducible) {
 // ------------------ Machine checked error paths (DYNFB_CHECK) -------------
 
 TEST(PerturbMachineDeathTest, AdvanceRejectsNegativeDuration) {
-  SimMachine Machine(1, CostModel{});
+  SimMachine Machine(1, FlatMachineModel());
   EXPECT_DEATH(Machine.advance(-1), "negative duration");
 }
 
 TEST(PerturbMachineDeathTest, AdvanceRejectsVirtualTimeOverflow) {
-  SimMachine Machine(1, CostModel{});
+  SimMachine Machine(1, FlatMachineModel());
   Machine.advance(std::numeric_limits<Nanos>::max() - 10);
   EXPECT_DEATH(Machine.advance(100), "overflow");
 }
@@ -605,7 +605,7 @@ TEST(PerturbAdaptTest, ControllerFlipsVersionWithinOneResamplingCycle) {
   B.OuterClass = W.OuterClass;
   const PerturbationEngine Engine = privateLockBurst();
 
-  SimMachine Machine(4, CostModel{});
+  SimMachine Machine(4, FlatMachineModel());
   Machine.setPerturbation(&Engine);
   SimSectionRunner Runner(
       Machine, B,
@@ -635,7 +635,7 @@ TEST(PerturbAdaptTest, NoFeedbackBaselineStaysStaleAndSlower) {
   // No-feedback baseline: fine-grain locking forever, through the burst.
   TwoVersionBinding FixedB;
   FixedB.OuterClass = W.OuterClass;
-  SimMachine FixedMachine(4, CostModel{});
+  SimMachine FixedMachine(4, FlatMachineModel());
   FixedMachine.setPerturbation(&Engine);
   SimSectionRunner FixedRunner(
       FixedMachine, FixedB,
@@ -648,7 +648,7 @@ TEST(PerturbAdaptTest, NoFeedbackBaselineStaysStaleAndSlower) {
   // Adaptive run over the identical workload and schedule.
   TwoVersionBinding DynB;
   DynB.OuterClass = W.OuterClass;
-  SimMachine DynMachine(4, CostModel{});
+  SimMachine DynMachine(4, FlatMachineModel());
   DynMachine.setPerturbation(&Engine);
   SimSectionRunner DynRunner(
       DynMachine, DynB,

@@ -303,7 +303,7 @@ TEST_P(RandomProgramTest, PipelineInvariants) {
   // every run terminates (deadlock-freedom).
   constexpr rt::Nanos Unbounded = std::numeric_limits<rt::Nanos>::max() / 4;
   auto RunOnce = [&](const Method *VersionEntry, unsigned Procs) {
-    sim::SimMachine Machine(Procs, CM);
+    sim::SimMachine Machine(Procs, rt::FlatMachineModel(CM));
     sim::SimSectionRunner Runner(Machine, Binding,
                                  {sim::SimVersion{"v", VersionEntry}},
                                  false);
@@ -363,7 +363,7 @@ TEST_P(RandomProgramTest, PipelineInvariants) {
     for (const SectionVersion &V : VS.Versions)
       SimVersions.push_back(sim::SimVersion{V.label(), V.Entry});
     auto RunDynamic = [&] {
-      sim::SimMachine Machine(4, CM);
+      sim::SimMachine Machine(4, rt::FlatMachineModel(CM));
       sim::SimSectionRunner Runner(Machine, Binding, SimVersions, true);
       fb::FeedbackConfig FC;
       FC.TargetSamplingNanos = rt::millisToNanos(0.05);

@@ -86,7 +86,7 @@ TEST(SimTest, SingleProcessorTimingIsExact) {
   ToyBinding B;
   B.Iterations = 4;
   CostModel CM;
-  SimMachine Machine(1, CM);
+  SimMachine Machine(1, FlatMachineModel(CM));
   SimSectionRunner Runner(Machine, B,
                           {SimVersion{"only", W.Entry}}, false);
 
@@ -115,7 +115,7 @@ TEST(SimTest, DisjointLocksScaleLinearly) {
     ToyBinding B;
     B.Iterations = 64;
     B.Objects = 64;
-    SimMachine Machine(Procs, CM);
+    SimMachine Machine(Procs, FlatMachineModel(CM));
     SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}},
                             false);
     const IntervalReport R = Runner.runInterval(0, Unbounded);
@@ -140,7 +140,7 @@ TEST(SimTest, SharedLockSerializesAndCountsWaiting) {
   B.SharedLock = true;
   // Make the critical section dominate: the update runs under the lock.
   B.ComputeCost = 1000; // Tiny compute outside the lock.
-  SimMachine Machine(4, CM);
+  SimMachine Machine(4, FlatMachineModel(CM));
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   const IntervalReport R = Runner.runInterval(0, Unbounded);
   EXPECT_TRUE(R.Finished);
@@ -156,7 +156,7 @@ TEST(SimTest, SharedVsPrivateLockWaitingComparison) {
     ToyBinding B;
     B.Iterations = 64;
     B.SharedLock = Shared;
-    SimMachine Machine(8, CM);
+    SimMachine Machine(8, FlatMachineModel(CM));
     SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}},
                             false);
     return Runner.runInterval(0, Unbounded).Stats;
@@ -175,7 +175,7 @@ TEST(SimTest, DeterministicAcrossRuns) {
   B.SharedLock = true;
   CostModel CM;
   auto Run = [&]() {
-    SimMachine Machine(6, CM);
+    SimMachine Machine(6, FlatMachineModel(CM));
     SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}},
                             false);
     const IntervalReport R = Runner.runInterval(0, Unbounded);
@@ -190,7 +190,7 @@ TEST(SimTest, IntervalExpiryHonorsSwitchPoints) {
   ToyBinding B;
   B.Iterations = 1000;
   CostModel CM;
-  SimMachine Machine(2, CM);
+  SimMachine Machine(2, FlatMachineModel(CM));
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
 
   // Target much smaller than one iteration: each processor still completes
@@ -211,7 +211,7 @@ TEST(SimTest, ExecTimeSumsProcessors) {
   B.Iterations = 16;
   B.Objects = 16;
   CostModel CM;
-  SimMachine Machine(4, CM);
+  SimMachine Machine(4, FlatMachineModel(CM));
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   const IntervalReport R = Runner.runInterval(0, Unbounded);
   // Four processors ran for about Effective each.
@@ -223,7 +223,7 @@ TEST(SimTest, ResetRestartsSection) {
   ToyWorkload W;
   ToyBinding B;
   B.Iterations = 4;
-  SimMachine Machine(1, CostModel{});
+  SimMachine Machine(1, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   EXPECT_TRUE(Runner.runInterval(0, Unbounded).Finished);
   EXPECT_TRUE(Runner.done());
@@ -238,7 +238,7 @@ TEST(SimTest, InstrumentationAddsLockCost) {
   B.Iterations = 8;
   CostModel CM;
   auto Run = [&](bool Instrumented) {
-    SimMachine Machine(1, CM);
+    SimMachine Machine(1, FlatMachineModel(CM));
     SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}},
                             Instrumented);
     return Runner.runInterval(0, Unbounded).EffectiveNanos;
@@ -252,7 +252,7 @@ TEST(SimTest, EmptySectionFinishesImmediately) {
   ToyWorkload W;
   ToyBinding B;
   B.Iterations = 0;
-  SimMachine Machine(4, CostModel{});
+  SimMachine Machine(4, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   EXPECT_TRUE(Runner.done());
   const IntervalReport R = Runner.runInterval(0, Unbounded);
@@ -271,7 +271,7 @@ TEST(SimTest, ZeroFailedAcquireCostRunsToCompletion) {
   B.ComputeCost = 1000; // Critical section dominates: real contention.
   CostModel CM;
   CM.FailedAcquireNanos = 0;
-  SimMachine Machine(4, CM);
+  SimMachine Machine(4, FlatMachineModel(CM));
   SimSectionRunner Runner(Machine, B, {SimVersion{"only", W.Entry}}, false);
   const IntervalReport R = Runner.runInterval(0, Unbounded);
   EXPECT_TRUE(R.Finished);
@@ -299,13 +299,13 @@ TEST(SimTest, ReusedIntervalStateIsBitIdentical) {
   ToyBinding B;
   B.Iterations = 64;
   B.SharedLock = true;
-  SimMachine Machine(4, CM);
+  SimMachine Machine(4, FlatMachineModel(CM));
   SimSectionRunner Reused(Machine, B, {SimVersion{"only", W.Entry}}, false);
   const auto First = TwoIntervals(Reused);
   Reused.reset();
   const auto Again = TwoIntervals(Reused);
 
-  SimMachine FreshMachine(4, CM);
+  SimMachine FreshMachine(4, FlatMachineModel(CM));
   SimSectionRunner Fresh(FreshMachine, B, {SimVersion{"only", W.Entry}},
                          false);
   const auto FreshRun = TwoIntervals(Fresh);
@@ -329,9 +329,9 @@ TEST(SimBackendTest, OpsCacheMatchesLiveInterpretation) {
     B->Iterations = 64;
     B->SharedLock = true;
   }
-  SimBackend Cached(4, CostModel{}, false);
+  SimBackend Cached(4, FlatMachineModel(), false);
   Cached.addSection("S", &CachedB, {SimVersion{"only", W.Entry}});
-  SimBackend Live(4, CostModel{}, false);
+  SimBackend Live(4, FlatMachineModel(), false);
   Live.addSection("S", &LiveB, {SimVersion{"only", W.Entry}});
   for (int Occurrence = 0; Occurrence < 3; ++Occurrence) {
     auto CR = Cached.beginSection("S");
@@ -347,7 +347,7 @@ TEST(SimBackendTest, RegistersAndBeginsSections) {
   ToyWorkload W;
   ToyBinding B;
   B.Iterations = 2;
-  SimBackend Backend(2, CostModel{}, false);
+  SimBackend Backend(2, FlatMachineModel(), false);
   Backend.addSection("S", &B, {SimVersion{"only", W.Entry}});
   auto Runner = Backend.beginSection("S");
   ASSERT_NE(Runner, nullptr);

@@ -9,7 +9,6 @@
 #include "apps/water/WaterApp.h"
 #include "ir/Builder.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <gtest/gtest.h>
 #include <limits>
@@ -45,7 +44,8 @@ TEST_P(PolicyScalingTest, BarnesHutTimeDecreasesWithProcessors) {
   const PolicyKind P = GetParam();
   double Prev = std::numeric_limits<double>::infinity();
   for (unsigned Procs : {1u, 2u, 4u, 8u, 16u}) {
-    const double T = runAppSeconds(bhApp(), Procs, Flavour::Fixed, P);
+    const double T = runAppSeconds(bhApp(), Procs, VersionSpec::fixed(P),
+                                   rt::FlatMachineModel());
     EXPECT_LT(T, Prev) << policyName(P) << " at " << Procs << " procs";
     Prev = T;
   }
@@ -53,9 +53,11 @@ TEST_P(PolicyScalingTest, BarnesHutTimeDecreasesWithProcessors) {
 
 TEST_P(PolicyScalingTest, BarnesHutSpeedupBoundedByProcessorCount) {
   const PolicyKind P = GetParam();
-  const double T1 = runAppSeconds(bhApp(), 1, Flavour::Fixed, P);
+  const double T1 = runAppSeconds(bhApp(), 1, VersionSpec::fixed(P),
+                                  rt::FlatMachineModel());
   for (unsigned Procs : {2u, 8u, 16u}) {
-    const double TP = runAppSeconds(bhApp(), Procs, Flavour::Fixed, P);
+    const double TP = runAppSeconds(bhApp(), Procs, VersionSpec::fixed(P),
+                                    rt::FlatMachineModel());
     EXPECT_LE(T1 / TP, static_cast<double>(Procs) * 1.001)
         << policyName(P);
   }
@@ -76,9 +78,11 @@ class WaterCrossoverTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(WaterCrossoverTest, BoundedBeatsAggressiveBeyondOneProcessor) {
   const unsigned Procs = GetParam();
   const double Bnd =
-      runAppSeconds(waterApp(), Procs, Flavour::Fixed, PolicyKind::Bounded);
-  const double Agg = runAppSeconds(waterApp(), Procs, Flavour::Fixed,
-                                   PolicyKind::Aggressive);
+      runAppSeconds(waterApp(), Procs, VersionSpec::fixed(PolicyKind::Bounded),
+                    rt::FlatMachineModel());
+  const double Agg = runAppSeconds(waterApp(), Procs,
+                                   VersionSpec::fixed(PolicyKind::Aggressive),
+                                   rt::FlatMachineModel());
   if (Procs == 1)
     EXPECT_LT(Agg, Bnd); // Least locking wins serially.
   else
@@ -98,7 +102,8 @@ TEST(CostSensitivityTest, LockCostHurtsLockHeavyPoliciesMore) {
 
   auto Run = [&](PolicyKind P, const CostModel &CM) {
     return nanosToSeconds(
-        runApp(bhApp(), 1, Flavour::Fixed, P, {}, nullptr, CM).TotalNanos);
+        runApp(bhApp(), 1, VersionSpec::fixed(P),
+               rt::FlatMachineModel(CM)).TotalNanos);
   };
   const double OrigDelta = Run(PolicyKind::Original, Expensive) -
                            Run(PolicyKind::Original, Cheap);
@@ -112,12 +117,12 @@ TEST(CostSensitivityTest, TimerCostScalesWithIterations) {
   CostModel Slow = CostModel::dashLike();
   Slow.TimerReadNanos += 100000; // +100 us per poll.
   const double Base = nanosToSeconds(
-      runApp(bhApp(), 1, Flavour::Fixed, PolicyKind::Aggressive, {},
-             nullptr, CostModel::dashLike())
+      runApp(bhApp(), 1, VersionSpec::fixed(PolicyKind::Aggressive),
+             rt::FlatMachineModel(CostModel::dashLike()))
           .TotalNanos);
   const double WithSlowTimer = nanosToSeconds(
-      runApp(bhApp(), 1, Flavour::Fixed, PolicyKind::Aggressive, {},
-             nullptr, Slow)
+      runApp(bhApp(), 1, VersionSpec::fixed(PolicyKind::Aggressive),
+             rt::FlatMachineModel(Slow))
           .TotalNanos);
   // Two FORCES executions x one poll per iteration.
   const double Expected =
@@ -159,10 +164,10 @@ TEST(FifoFairnessTest, BlockedProcessorsAreGrantedInArrivalOrder) {
     }
   } B;
 
-  sim::SimMachine Machine(4, CostModel::dashLike());
+  sim::SimMachine Machine(4, FlatMachineModel());
   sim::SimSectionRunner Runner(Machine, B,
                                {sim::SimVersion{"v", Entry}}, false);
-  sim::IntervalTrace Trace;
+  rt::IntervalTrace Trace;
   Runner.attachTrace(&Trace);
   Runner.runInterval(0, std::numeric_limits<Nanos>::max() / 4);
 
@@ -184,8 +189,11 @@ TEST_P(DynamicRobustnessTest, WithinTenPercentOfBestStatic) {
   double Best = std::numeric_limits<double>::infinity();
   for (PolicyKind P : AllPolicies)
     Best = std::min(Best,
-                    runAppSeconds(waterApp(), Procs, Flavour::Fixed, P));
-  const double Dyn = runAppSeconds(waterApp(), Procs, Flavour::Dynamic);
+                    runAppSeconds(waterApp(), Procs, VersionSpec::fixed(P),
+                                  rt::FlatMachineModel()));
+  const double Dyn = runAppSeconds(waterApp(), Procs,
+                                   VersionSpec::dynamicFeedback(),
+                                   rt::FlatMachineModel());
   EXPECT_LT(Dyn, 1.10 * Best) << Procs << " procs";
 }
 

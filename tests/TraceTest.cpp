@@ -7,7 +7,6 @@
 #include "apps/water/WaterApp.h"
 #include "ir/Builder.h"
 #include "sim/SectionSim.h"
-#include "sim/Trace.h"
 
 #include <gtest/gtest.h>
 #include <limits>
@@ -64,7 +63,7 @@ TEST(TraceTest, WorkConservation) {
   // lock ops + waiting + dispatch/poll overhead.
   TraceWorkload W;
   TraceBinding B;
-  SimMachine Machine(4, CostModel::dashLike());
+  SimMachine Machine(4, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"v", W.Entry}}, false);
   IntervalTrace Trace;
   Runner.attachTrace(&Trace);
@@ -80,7 +79,7 @@ TEST(TraceTest, WorkConservation) {
 TEST(TraceTest, TraceMatchesStats) {
   TraceWorkload W;
   TraceBinding B;
-  SimMachine Machine(4, CostModel::dashLike());
+  SimMachine Machine(4, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"v", W.Entry}}, false);
   IntervalTrace Trace;
   Runner.attachTrace(&Trace);
@@ -100,7 +99,7 @@ TEST(TraceTest, TraceMatchesStats) {
   // Compute equals iterations * (kernel + one update).
   EXPECT_EQ(Compute,
             static_cast<Nanos>(B.Iterations) *
-                (B.ComputeCost + Machine.costs().UpdateNanos));
+                (B.ComputeCost + Machine.model().costs().UpdateNanos));
 }
 
 TEST(TraceTest, LockSummaryIdentifiesContendedLock) {
@@ -108,7 +107,7 @@ TEST(TraceTest, LockSummaryIdentifiesContendedLock) {
   TraceBinding B;
   B.SharedLock = true;
   B.ComputeCost = 500; // Lock-dominated: heavy contention on object 0.
-  SimMachine Machine(4, CostModel::dashLike());
+  SimMachine Machine(4, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"v", W.Entry}}, false);
   IntervalTrace Trace;
   Runner.attachTrace(&Trace);
@@ -143,7 +142,7 @@ TEST(TraceTest, NoContentionWithPrivateLocks) {
   TraceWorkload W;
   TraceBinding B;
   B.SharedLock = false;
-  SimMachine Machine(4, CostModel::dashLike());
+  SimMachine Machine(4, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"v", W.Entry}}, false);
   IntervalTrace Trace;
   Runner.attachTrace(&Trace);
@@ -158,7 +157,7 @@ TEST(TraceTest, NoContentionWithPrivateLocks) {
 TEST(TraceTest, RenderTextMentionsProcsAndLocks) {
   TraceWorkload W;
   TraceBinding B;
-  SimMachine Machine(2, CostModel::dashLike());
+  SimMachine Machine(2, FlatMachineModel());
   SimSectionRunner Runner(Machine, B, {SimVersion{"v", W.Entry}}, false);
   IntervalTrace Trace;
   Runner.attachTrace(&Trace);
@@ -176,7 +175,7 @@ TEST(TraceTest, WaterPotengAggressiveBlamesGlobalAccumulator) {
   Config.NumMolecules = 32;
   apps::water::WaterApp App(Config);
   const auto *VS = App.program().find("POTENG");
-  SimMachine Machine(8, CostModel::dashLike());
+  SimMachine Machine(8, FlatMachineModel());
   SimSectionRunner Runner(
       Machine, App.binding("POTENG"),
       {SimVersion{"Aggressive",

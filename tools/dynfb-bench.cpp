@@ -45,6 +45,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -211,6 +212,13 @@ int cmdRun(CommandLine &CL) {
     return 2;
   if (!validateBackendFlag(Backend))
     return 2;
+  if (!(std::isfinite(ScaleFactor) && ScaleFactor > 0)) {
+    std::fprintf(stderr,
+                 "dynfb-bench: error: --scale must be a finite number > 0 "
+                 "(got %g)\n",
+                 ScaleFactor);
+    return 2;
+  }
   const bool Native = Backend == "native";
   if (Native && !Machine.empty())
     std::fprintf(stderr,

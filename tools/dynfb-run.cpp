@@ -69,6 +69,7 @@
 #include "xform/CodeSize.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -257,8 +258,15 @@ int main(int Argc, char **Argv) {
     Space = std::move(*Parsed);
   }
 
-  std::unique_ptr<App> TheApp =
-      createApp(AppName, CL.getDouble("scale", 1.0), Space);
+  // A non-finite or non-positive scale would size the workload from
+  // garbage: NaN reaches the simulator as a negative duration, a negative
+  // scale as a huge allocation.
+  const double Scale = CL.getDouble("scale", 1.0);
+  if (!(std::isfinite(Scale) && Scale > 0)) {
+    fail(format("--scale must be a finite number > 0 (got %g)", Scale));
+    return 2;
+  }
+  std::unique_ptr<App> TheApp = createApp(AppName, Scale, Space);
   if (!TheApp)
     return fail("unknown application '" + AppName +
                 "' (expected barnes_hut, water, string or kvserve)");
@@ -550,24 +558,19 @@ int main(int Argc, char **Argv) {
 
   const std::string PolicyName = CL.getString("policy", "dynamic");
 
-  Flavour F = Flavour::Dynamic;
-  xform::PolicyKind Policy = xform::PolicyKind::Original;
+  VersionSpec Spec = VersionSpec::dynamicFeedback();
   if (PolicyName == "serial")
-    F = Flavour::Serial;
+    Spec = VersionSpec::serial();
   else if (PolicyName == "original")
-    F = Flavour::Fixed;
-  else if (PolicyName == "bounded") {
-    F = Flavour::Fixed;
-    Policy = xform::PolicyKind::Bounded;
-  } else if (PolicyName == "aggressive") {
-    F = Flavour::Fixed;
-    Policy = xform::PolicyKind::Aggressive;
-  } else if (PolicyName != "dynamic")
+    Spec = VersionSpec::fixed(xform::PolicyKind::Original);
+  else if (PolicyName == "bounded")
+    Spec = VersionSpec::fixed(xform::PolicyKind::Bounded);
+  else if (PolicyName == "aggressive")
+    Spec = VersionSpec::fixed(xform::PolicyKind::Aggressive);
+  else if (PolicyName != "dynamic")
     return fail("unknown policy '" + PolicyName +
                 "' (expected serial, original, bounded, aggressive or "
                 "dynamic)");
-  const VersionSpec Spec = F == Flavour::Fixed ? VersionSpec::fixed(Policy)
-                                               : VersionSpec{F, {}};
 
   fb::PolicyHistory History;
   RunObservation Obs;
@@ -595,7 +598,7 @@ int main(int Argc, char **Argv) {
               formatSeconds(rt::nanosToSeconds(R.ParallelStats.WaitNanos))
                   .c_str(),
               R.ParallelStats.waitingProportion());
-  if (F == Flavour::Dynamic) {
+  if (Spec.F == Flavour::Dynamic) {
     for (const fb::SectionExecutionTrace &T : R.Occurrences) {
       if (T.ChosenVersions.empty())
         continue;
@@ -634,7 +637,7 @@ int main(int Argc, char **Argv) {
     // provenance. Values are the resolved ones the run actually used.
     obs::RunSpec &RS = Trace.Meta.Spec;
     RS.Present = true;
-    RS.Scale = CL.getDouble("scale", 1.0);
+    RS.Scale = Scale;
     RS.Dimensions = Dimensions;
     RS.Chunks = Chunks;
     RS.SamplingNanos = Config.TargetSamplingNanos;
@@ -672,12 +675,12 @@ int main(int Argc, char **Argv) {
     return fail("--trace (interval contention report) requires the "
                 "simulator backend; use --trace-out FILE, which works on "
                 "both backends");
-  if (CL.getBool("trace", false) && F == Flavour::Fixed) {
+  if (CL.getBool("trace", false) && Spec.F == Flavour::Fixed) {
     // Contention report: re-run each section with an interval trace.
     auto Backend = TheApp->makeSimBackend(Procs, *Machine, Spec);
     for (const xform::VersionedSection &VS : TheApp->program().Sections) {
       auto Runner = Backend->beginSectionSim(VS.Name);
-      sim::IntervalTrace Trace;
+      rt::IntervalTrace Trace;
       Runner->attachTrace(&Trace);
       while (!Runner->done())
         Runner->runInterval(0, std::numeric_limits<rt::Nanos>::max() / 4);
